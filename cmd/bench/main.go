@@ -555,7 +555,9 @@ func suite(sz sizes) []benchEntry {
 			// three. Signature verification is off and dedup shards are
 			// pre-sized, isolating the routing + decode + dedup overhead —
 			// directly comparable to ingest_decode_dedup's single-tenant
-			// figure. One op is one routed batch.
+			// figure. One op is one routed batch. Workers: 1, as in every
+			// alloc-gated ingest entry: a multi-chunk batch pays the worker
+			// pool handoff, whose allocations scale with the core count.
 			type tenantShape struct {
 				name string
 				dim  int
@@ -572,6 +574,7 @@ func suite(sz sizes) []benchEntry {
 					if _, err := reg.AddTenant(service.TenantConfig{
 						Name:           shape.name,
 						Dim:            shape.dim,
+						Workers:        1,
 						ExpectedCohort: perTenant * sz.batchRounds,
 					}); err != nil {
 						fatal(err)
@@ -640,8 +643,9 @@ func suite(sz sizes) []benchEntry {
 		{name: "ingest_ticketed_serial", allocGated: true, run: func() result {
 			// The same cohort-through-a-fresh-pipeline shape as
 			// ingest_serial, with every contribution MAC'd under a session
-			// ticket instead of ECDSA-signed, fed one Add at a time: this is
-			// the per-item reference the batch plan's entries divide against.
+			// ticket instead of ECDSA-signed, fed one Add (a batch of one)
+			// at a time: the batch plan with nothing to amortize, which the
+			// framed batch entries divide against.
 			return fromBench(benchTicketedIngest(sz, serviceName, 1, 1))
 		}},
 
@@ -819,10 +823,11 @@ func makeTicketedRaws(n, dim int, round uint64, serviceName string, tbl *service
 // benchTicketedIngest is benchIngest's fast-path twin: one op is one full
 // MAC'd cohort through a fresh pipeline sharing the tenant's ticket table,
 // so its contrib_per_sec divides directly against the ECDSA-bound
-// ingest_serial/parallel figures. Contributions are fed one Add at a time —
-// the per-item hot path, deliberately not the batch plan — so the ticketed
-// serial/parallel entries stay the reference the batch entries are measured
-// against. With workers > 1 the cohort is striped across that many caller
+// ingest_serial/parallel figures. Contributions are fed one Add at a time,
+// each a batch of one, so the enter/drain bookkeeping, arena turnover,
+// ticket resolution and shard lock are paid per contribution: the ticketed
+// serial/parallel entries stay the reference that shows what framing buys
+// the batch entries. With workers > 1 the cohort is striped across that many caller
 // goroutines (the many-callers ingest shape).
 func benchTicketedIngest(sz sizes, serviceName string, workers, shards int) testing.BenchmarkResult {
 	tbl := service.NewTicketTable(service.TicketConfig{})
@@ -1321,17 +1326,16 @@ func (l *pipeListener) dial() (net.Conn, error) {
 // stack — attested handshake once, then batches through the frame protocol
 // — over an in-memory pipe or loopback TCP.
 func benchSubmitTransport(sz sizes, serviceName string, key *xcrypto.SigningKey, tcp bool) testing.BenchmarkResult {
-	tb, err := newBenchWorld(serviceName, sz.dim)
-	if err != nil {
-		fatal(err)
-	}
 	mgr := service.NewRoundManager(service.PipelineConfig{
 		ServiceName:    serviceName,
 		Verify:         key.Public(),
 		Dim:            sz.dim,
 		ExpectedCohort: sz.batchItems,
 	})
-	tb.server.SetIngest(mgr)
+	tb, err := newBenchWorld(serviceName, sz.dim, mgr)
+	if err != nil {
+		fatal(err)
+	}
 
 	verifier := &tee.QuoteVerifier{Root: tb.as.Root()}
 	verifier.Allow(tb.server.Measurement())
@@ -1508,8 +1512,8 @@ type benchWorld struct {
 
 // newBenchWorld assembles the attested gaas hosting stack: attestation
 // service, platform, cloud service, and a Glimmer host that provisions a
-// fresh enclave per connection.
-func newBenchWorld(serviceName string, dim int) (*benchWorld, error) {
+// fresh enclave per connection and forwards submit-batch frames to ing.
+func newBenchWorld(serviceName string, dim int, ing gaas.Ingestor) (*benchWorld, error) {
 	as, err := tee.NewAttestationService()
 	if err != nil {
 		return nil, err
@@ -1529,13 +1533,15 @@ func newBenchWorld(serviceName string, dim int) (*benchWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	server := gaas.NewServer(platform, cfg, func(dev *glimmer.Device) error {
+	mux := gaas.NewServeMux()
+	mux.Mount(cfg, func(dev *glimmer.Device) error {
 		payload, err := svc.BasePayload()
 		if err != nil {
 			return err
 		}
 		return svc.Provision(dev, payload)
 	})
+	server := gaas.New(gaas.ServerConfig{Platform: platform, Mux: mux, Ingest: ing})
 	svc.Vet(server.Measurement())
 	return &benchWorld{as: as, server: server}, nil
 }

@@ -24,7 +24,7 @@ type world struct {
 	server   *Server
 	addr     string
 	// rounds is non-nil when the world was built with ingest enabled
-	// (wired before Serve, per SetIngest's contract).
+	// (ServerConfig.Ingest).
 	rounds *service.RoundManager
 }
 
@@ -51,15 +51,18 @@ func newWorldIngest(t *testing.T, withIngest bool) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Vet(glimmer.BuildBinary(cfg).Measurement())
+	meas := glimmer.BuildBinary(cfg).Measurement()
+	svc.Vet(meas)
 
-	server := NewServer(platform, cfg, func(dev *glimmer.Device) error {
+	mux := NewServeMux()
+	mux.Mount(cfg, func(dev *glimmer.Device) error {
 		payload, err := svc.BasePayload()
 		if err != nil {
 			return err
 		}
 		return svc.Provision(dev, payload)
 	})
+	srvCfg := ServerConfig{Platform: platform, Mux: mux}
 	var rounds *service.RoundManager
 	if withIngest {
 		rounds = service.NewRoundManager(service.PipelineConfig{
@@ -69,9 +72,10 @@ func newWorldIngest(t *testing.T, withIngest bool) *world {
 			Workers:     2,
 			Shards:      2,
 		})
-		rounds.Vet(server.Measurement())
-		server.SetIngest(rounds)
+		rounds.Vet(meas)
+		srvCfg.Ingest = rounds
 	}
+	server := New(srvCfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +256,7 @@ func multiTenantWorld(t *testing.T) (*tee.AttestationService, *service.Registry,
 			t.Fatal(err)
 		}
 	}
-	server := NewTenantServer(platform, registry)
-	server.SetIngest(registry)
+	server := New(ServerConfig{Platform: platform, Hosts: registry, Ingest: registry})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -479,7 +482,8 @@ func TestIdleClientReaped(t *testing.T) {
 
 	var mu sync.Mutex
 	var session *glimmer.Device
-	server := NewServer(platform, cfg, func(dev *glimmer.Device) error {
+	mux := NewServeMux()
+	mux.Mount(cfg, func(dev *glimmer.Device) error {
 		mu.Lock()
 		session = dev
 		mu.Unlock()
@@ -489,7 +493,7 @@ func TestIdleClientReaped(t *testing.T) {
 		}
 		return svc.Provision(dev, payload)
 	})
-	server.SetIdleTimeout(50 * time.Millisecond)
+	server := New(ServerConfig{Platform: platform, Mux: mux, IdleTimeout: 50 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -44,8 +44,10 @@ func newTicketWorld(t *testing.T) *ticketWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Vet(glimmer.BuildBinary(cfg).Measurement())
-	server := NewServer(platform, cfg, func(dev *glimmer.Device) error {
+	meas := glimmer.BuildBinary(cfg).Measurement()
+	svc.Vet(meas)
+	mux := NewServeMux()
+	mux.Mount(cfg, func(dev *glimmer.Device) error {
 		payload, err := svc.BasePayload()
 		if err != nil {
 			return err
@@ -65,8 +67,8 @@ func newTicketWorld(t *testing.T) *ticketWorld {
 		Workers: 2,
 		Shards:  2,
 	})
-	rounds.Vet(server.Measurement())
-	server.SetIngest(rounds)
+	rounds.Vet(meas)
+	server := New(ServerConfig{Platform: platform, Mux: mux, Ingest: rounds})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -10,33 +10,36 @@ import (
 	"glimmers/internal/xcrypto"
 )
 
-// The batch ingest plan. The per-item hot path pays, for every ticketed
-// contribution: a scratch decode that materializes the vector, a ticket
-// table read, an HMAC whose key schedule is recomputed from scratch, and a
-// shard lock acquisition. A batch shares almost all of that: contributions
-// in one frame overwhelmingly name the same ticket (same session key, same
-// table row) and land across a handful of shards. So AddBatch restructures
-// the work into phases over a per-batch arena:
+// The batch ingest plan: the one path every contribution takes into a
+// pipeline. Add is a batch of one; AddBatch chunks a batch across the
+// worker pool and runs the plan per chunk. Checked one at a time, a
+// ticketed contribution would pay a scratch decode that materializes the
+// vector, a ticket table read, an HMAC whose key schedule is recomputed
+// from scratch, and a shard lock acquisition. A batch shares almost all of
+// that: contributions in one frame overwhelmingly name the same ticket
+// (same session key, same table row) and land across a handful of shards.
+// So the plan runs in phases over a per-batch arena:
 //
 //  1. decode every frame into a zero-copy TicketedView (vectors stay as
 //     wire lane bytes) and run the cheap identity checks in submission
-//     order — error slots and the rejected counter land exactly where the
-//     per-item path would put them;
+//     order, filling error slots and the rejected counter as it goes;
 //  2. resolve each distinct ticket against the table once, then verify all
 //     MACs under a key whose HMAC pad states are computed once per ticket
 //     (xcrypto.MACState.SetKey) instead of once per message;
 //  3. counting-sort the survivors by dedup shard — the sort is stable, so
-//     per-shard processing preserves submission order and duplicates
-//     resolve identically to the per-item path — and take each shard lock
-//     once, bulk-inserting digests and accumulating vectors straight from
-//     the frames' lane bytes (fixed.AccumulateWireInto).
+//     per-shard processing preserves submission order and the earlier of
+//     two duplicates is the one accepted, exactly as if the batch had been
+//     submitted as N batches of one — and take each shard lock once,
+//     bulk-inserting digests and accumulating vectors straight from the
+//     frames' lane bytes (fixed.AccumulateWireInto).
 //
 // The arena is reset once per batch rather than a scratch being pooled per
 // item, and is returned to its pool with every frame view cleared: the
 // must-not-retain contract is the same one putScratch enforces.
 //
-// Signed (ECDSA) contributions are legal in a batch but take the per-item
-// path inline at their submission position; the batch plan exists for the
+// Signed (ECDSA) contributions are legal in a batch; phase 1 ingests each
+// one whole (process) at its submission position. Their cost is the ECDSA
+// verify, which no phase could share, so the plan's phases exist for the
 // ticketed fast path, which is where the volume is.
 
 // batchItem is one ticketed contribution's phase state.
@@ -127,18 +130,19 @@ func (p *Pipeline) AddBatchErrs(raws [][]byte, errs []error) {
 		}
 		return
 	}
-	if p.cfg.Workers == 1 {
-		// Serial plan: the whole batch through one arena, inline.
+	chunk := (len(raws) + p.cfg.Workers - 1) / p.cfg.Workers
+	if chunk < minBatchChunk {
+		chunk = minBatchChunk
+	}
+	if chunk >= len(raws) {
+		// One chunk (always so when Workers == 1): the pool handoff would
+		// buy no parallelism, so run it on the caller.
 		p.processBatch(raws, errs)
 		p.pending.Add(-len(raws))
 		return
 	}
 	p.poolOnce.Do(p.startPool)
 	var wg sync.WaitGroup
-	chunk := (len(raws) + p.cfg.Workers - 1) / p.cfg.Workers
-	if chunk < minBatchChunk {
-		chunk = minBatchChunk
-	}
 	for start := 0; start < len(raws); start += chunk {
 		end := start + chunk
 		if end > len(raws) {
@@ -154,16 +158,17 @@ func (p *Pipeline) AddBatchErrs(raws [][]byte, errs []error) {
 // beats the parallelism.
 const minBatchChunk = 16
 
-// processBatch runs the three-phase plan over one batch. Accept/reject
-// decisions, error values, and the rejected counter match the per-item
-// path exactly; only the cost shape differs.
+// processBatch runs the three-phase plan over one batch (or one chunk of
+// one). Accept/reject decisions, error values, and the rejected counter do
+// not depend on how a submission is split into batches; only the cost
+// shape does.
 func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 	a := arenaPool.Get().(*ingestArena)
 	defer a.release()
 
 	// Phase 1: decode and cheap identity checks, in submission order.
-	// Signed-variant contributions take the per-item path right here, at
-	// their submission position.
+	// Signed-variant contributions are ingested whole right here, at their
+	// submission position.
 	for i, raw := range raws {
 		if !glimmer.PeekContributionTicketed(raw) {
 			errs[i] = p.process(raw)
@@ -208,8 +213,8 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 		for gi := range a.groups {
 			g := &a.groups[gi]
 			// Every item in the group already passed the round check, so
-			// the group resolves at the pipeline's round — the same
-			// (ticket, round) pair the per-item path would present.
+			// the group resolves at the pipeline's round — the (ticket,
+			// round) pair each of its items names.
 			g.key, g.err = p.cfg.Tickets.check(g.id, p.cfg.Round)
 		}
 		m := batchMACs.Get()
@@ -231,8 +236,8 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 				errs[it.idx] = p.reject(ErrBadMAC)
 				continue
 			}
-			// The verified MAC doubles as the dedup digest, exactly as on
-			// the per-item path.
+			// The verified MAC doubles as the dedup digest, as in
+			// checkTicketed.
 			copy(it.digest[:], it.view.MAC)
 			it.shard = binary.BigEndian.Uint64(it.digest[:8]) & p.shardMask
 		}

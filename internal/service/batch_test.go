@@ -13,8 +13,8 @@ import (
 
 // faultBatch builds a batch mixing every refusal the ticketed path can
 // produce with valid traffic under two tickets, plus raw garbage. The
-// returned batch is the equivalence corpus: the batch plan must land every
-// item exactly where the per-item path does.
+// returned batch is the equivalence corpus: one batch of N must land every
+// item exactly where N batches of one do.
 func faultBatch(dim int, round uint64, good, narrow testTicket) [][]byte {
 	ghost := testTicket{id: 9999, key: xcrypto.SessionKey{0xEE}, first: 1, last: 100}
 	forged := append([]byte(nil), ticketedRaw("batch.example", round, dim, 2, good)...)
@@ -47,9 +47,10 @@ func batchPipeline(dim int, round uint64, workers int, tbl *TicketTable) *Pipeli
 	})
 }
 
-// TestAddBatchMatchesPerItem is the batch plan's core contract: identical
-// accept/reject verdicts, error values, rejected counter, and sum as the
-// per-item path, across the full fault mix.
+// TestAddBatchMatchesPerItem is the batch plan's core contract: a batch of
+// N lands exactly as N batches of one (Add) — identical accept/reject
+// verdicts, error values, rejected counter, and sum, across the full fault
+// mix.
 func TestAddBatchMatchesPerItem(t *testing.T) {
 	const dim, round = 16, uint64(5)
 	tbl := NewTicketTable(TicketConfig{})
@@ -70,24 +71,24 @@ func TestAddBatchMatchesPerItem(t *testing.T) {
 	for i := range batch {
 		switch {
 		case (refErrs[i] == nil) != (gotErrs[i] == nil):
-			t.Errorf("item %d: per-item err %v, batch err %v", i, refErrs[i], gotErrs[i])
+			t.Errorf("item %d: one-by-one err %v, batch err %v", i, refErrs[i], gotErrs[i])
 		case refErrs[i] != nil && refErrs[i].Error() != gotErrs[i].Error():
-			t.Errorf("item %d: per-item err %q, batch err %q", i, refErrs[i], gotErrs[i])
+			t.Errorf("item %d: one-by-one err %q, batch err %q", i, refErrs[i], gotErrs[i])
 		}
 	}
 	if ref.Count() != got.Count() || ref.Rejected() != got.Rejected() {
-		t.Errorf("tallies diverge: per-item (%d, %d), batch (%d, %d)",
+		t.Errorf("tallies diverge: one-by-one (%d, %d), batch (%d, %d)",
 			ref.Count(), ref.Rejected(), got.Count(), got.Rejected())
 	}
 	if ref.Sum().Digest() != got.Sum().Digest() {
-		t.Error("sums diverge between per-item and batch paths")
+		t.Error("sums diverge between one-by-one and whole-batch ingest")
 	}
 	ref.Close()
 	got.Close()
 }
 
-// TestAddBatchMatchesPerItemAcrossWorkers extends the equivalence to the
-// chunked worker fan-out. Chunk boundaries make duplicate attribution
+// TestAddBatchMatchesPerItemAcrossWorkers extends "a batch of N ≡ N
+// batches of one" to the chunked worker fan-out. Chunk boundaries make duplicate attribution
 // racy (one of the pair wins, as with any concurrent ingest), so the
 // per-index comparison gives way to order-independent invariants: the
 // tallies, the sum, and the multiset of error kinds.
@@ -169,7 +170,7 @@ func TestAddBatchLifecycleRefusal(t *testing.T) {
 }
 
 // TestIngestArenaNotAliasedAcrossConcurrentAddBatch is the arena's -race
-// guard, mirroring the pooled-scratch guard from the per-item path: many
+// guard, mirroring the pooled-scratch guard on the signed path: many
 // concurrent AddBatch callers, one ticket per caller, and the final sum
 // must be exact — any arena state bleeding between concurrent batches
 // corrupts a lane.
@@ -288,7 +289,9 @@ func TestAddBatchMustNotRetain(t *testing.T) {
 
 // TestAddBatchErrsAllocFree pins the batch plan's zero-allocation contract:
 // steady-state batches through a warmed pipeline, with a caller-owned error
-// slice, allocate nothing per batch.
+// slice, allocate nothing per batch. A batch that fits in one chunk runs on
+// the caller whatever the worker count, so the multi-worker case must stay
+// off the pool handoff (and its heap-moved WaitGroup) too.
 func TestAddBatchErrsAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
@@ -304,30 +307,32 @@ func TestAddBatchErrsAllocFree(t *testing.T) {
 			batches[b][i] = ticketedRaw("batch.example", round, dim, b*batchSize+i, tk)
 		}
 	}
-	p := NewPipeline(PipelineConfig{
-		ServiceName:    "batch.example",
-		Dim:            dim,
-		Round:          round,
-		Tickets:        tbl,
-		Workers:        1,
-		ExpectedCohort: len(batches) * batchSize,
-	})
-	defer p.Close()
-	errs := make([]error, batchSize)
-	p.AddBatchErrs(batches[0], errs) // warm the arena, MAC snapshots, shards
-	b := 0
-	if got := testing.AllocsPerRun(runs, func() {
-		b++
-		p.AddBatchErrs(batches[b], errs)
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		p := NewPipeline(PipelineConfig{
+			ServiceName:    "batch.example",
+			Dim:            dim,
+			Round:          round,
+			Tickets:        tbl,
+			Workers:        workers,
+			ExpectedCohort: len(batches) * batchSize,
+		})
+		errs := make([]error, batchSize)
+		p.AddBatchErrs(batches[0], errs) // warm the arena, MAC snapshots, shards
+		b := 0
+		if got := testing.AllocsPerRun(runs, func() {
+			b++
+			p.AddBatchErrs(batches[b], errs)
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
+		}); got > 0 {
+			t.Errorf("workers=%d: AddBatchErrs: %.2f allocs/op, want 0", workers, got)
 		}
-	}); got > 0 {
-		t.Errorf("AddBatchErrs: %.2f allocs/op, want 0", got)
-	}
-	if p.Count() != (b+1)*batchSize {
-		t.Fatalf("count = %d, want %d", p.Count(), (b+1)*batchSize)
+		if p.Count() != (b+1)*batchSize {
+			t.Fatalf("workers=%d: count = %d, want %d", workers, p.Count(), (b+1)*batchSize)
+		}
+		p.Close()
 	}
 }

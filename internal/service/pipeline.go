@@ -65,9 +65,10 @@ type PipelineConfig struct {
 	// ticketed contributions with ErrUnknownTicket. The ECDSA path stays
 	// available either way — ticketless clients are unaffected.
 	Tickets *TicketTable
-	// Workers is the size of the verifier pool AddBatch fans out to.
-	// Workers == 1 processes batches inline on the calling goroutine (the
-	// serial baseline); <= 0 defaults to GOMAXPROCS.
+	// Workers is the size of the verifier pool AddBatch fans out to; <= 0
+	// defaults to GOMAXPROCS. A batch that fits in one chunk — every batch
+	// when Workers == 1, and any batch of at most minBatchChunk items —
+	// runs inline on the calling goroutine.
 	Workers int
 	// Shards is the number of independently locked dedup/sum shards,
 	// rounded up to a power of two; <= 0 defaults to 2×Workers. More shards
@@ -98,7 +99,7 @@ type pipeShard struct {
 }
 
 // Pipeline is the concurrent ingest path for one aggregation round: decode
-// and signature checks run on whatever goroutine delivers the contribution
+// and authenticity checks run on whatever goroutine delivers the batch
 // (many callers, or the AddBatch worker pool), and accumulation is sharded
 // by contribution digest so the only serialization is a brief per-shard
 // lock. All methods are safe for concurrent use.
@@ -129,9 +130,9 @@ type Pipeline struct {
 	// without synchronization on the hot path.
 	journal Journal
 
-	// The worker pool starts lazily on the first AddBatch, so a Pipeline
-	// used only through the synchronous Add (e.g. via Aggregator) costs no
-	// goroutines.
+	// The worker pool starts lazily on the first batch that spans more
+	// than one chunk, so a pipeline fed only single-chunk batches (every
+	// Add, and every batch when Workers == 1) costs no goroutines.
 	poolOnce    sync.Once
 	poolStarted atomic.Bool
 	jobs        chan batchJob
@@ -280,21 +281,23 @@ func (p *Pipeline) open() bool {
 	return p.state == roundOpen
 }
 
-// Add verifies and accumulates one encoded SignedContribution on the
-// calling goroutine. Safe to call from many goroutines concurrently —
-// throughput scales with the callers.
+// Add verifies and accumulates one encoded contribution on the calling
+// goroutine: a batch of one through the batch plan. Safe to call from many
+// goroutines concurrently — throughput scales with the callers.
 func (p *Pipeline) Add(raw []byte) error {
 	if err := p.enter(1); err != nil {
 		return err
 	}
 	defer p.pending.Done()
-	return p.process(raw)
+	raws, errs := [1][]byte{raw}, [1]error{}
+	p.processBatch(raws[:], errs[:])
+	return errs[0]
 }
 
 // AddBatch verifies and accumulates a batch of encoded contributions
 // through the batch plan (see batch.go), chunking across the verifier pool
-// when Workers > 1, and returns one error slot per input (nil for
-// accepted). It blocks until the whole batch has settled.
+// when the batch spans more than one chunk, and returns one error slot per
+// input (nil for accepted). It blocks until the whole batch has settled.
 func (p *Pipeline) AddBatch(raws [][]byte) []error {
 	errs := make([]error, len(raws))
 	p.AddBatchErrs(raws, errs)
@@ -319,16 +322,15 @@ func (p *Pipeline) worker() {
 	}
 }
 
-// checkContribution runs the stateless checks shared by pipeline ingest
-// and round admission (RoundManager.preverify): dispatch on the wire
-// variant, decode into the caller's scratch, service identity, round (when
-// wantRound is non-nil — the cheap checks come before the expensive
-// authenticity check so stale traffic is cheap to reject), dimension, and
-// then the variant's authenticity rule: measurement allowlist + ECDSA
-// signature for the signed variant, ticket resolution (table, expiry,
-// round window) + session MAC for the ticketed one. Dedup is the caller's
-// business. Keeping this in one place means the call sites cannot drift
-// apart.
+// checkContribution runs the stateless checks round admission
+// (RoundManager.preverify) needs before a contribution may create a round:
+// dispatch on the wire variant, decode into the caller's scratch, service
+// identity, round (when wantRound is non-nil — the cheap checks come before
+// the expensive authenticity check so stale traffic is cheap to reject),
+// dimension, and then the variant's authenticity rule: measurement
+// allowlist + ECDSA signature for the signed variant (checkSigned, which
+// pipeline ingest shares), ticket resolution (table, expiry, round window)
+// + session MAC for the ticketed one. Dedup is the caller's business.
 //
 // On success the returned vector is the decoded blinded contribution; it
 // aliases s (and the variant's tag field aliases raw), so the caller must
@@ -347,12 +349,19 @@ func checkContribution(serviceName string, verify *xcrypto.VerifyKey, tickets *T
 	if glimmer.PeekContributionTicketed(raw) {
 		return checkTicketed(serviceName, tickets, dim, wantRound, raw, s)
 	}
+	return checkSigned(serviceName, verify, dim, wantRound, vetted, raw, &s.sig)
+}
+
+// checkSigned is checkContribution's signed-variant rule, and the one
+// check pipeline ingest runs for a signed item (see process).
+func checkSigned(serviceName string, verify *xcrypto.VerifyKey, dim int, wantRound *uint64,
+	vetted func(tee.Measurement) bool, raw []byte, s *glimmer.ContributionScratch) (fixed.Vector, [32]byte, error) {
 	var digest [32]byte
-	signed, err := s.sig.Decode(raw)
+	signed, err := s.Decode(raw)
 	if err != nil {
 		return nil, digest, fmt.Errorf("service: %w", err)
 	}
-	sc := &s.sig.SC
+	sc := &s.SC
 	if sc.ServiceName != serviceName {
 		return nil, digest, ErrWrongService
 	}
@@ -371,12 +380,13 @@ func checkContribution(serviceName string, verify *xcrypto.VerifyKey, tickets *T
 	return sc.Blinded, sha256.Sum256(raw), nil
 }
 
-// checkTicketed is the amortized fast path: the per-contribution cost is a
-// scratch decode, a lock-brief table read, and one constant-time HMAC —
-// the asymmetric verify (and the measurement allowlist) were paid once, at
-// grant time. The MAC covers the service name and round, so a contribution
-// respelled for another tenant or round can never verify; the table's
-// window and expiry bound what a captured ticket can replay.
+// checkTicketed is round admission's ticketed rule: a scratch decode, a
+// lock-brief table read, and one constant-time HMAC — the asymmetric
+// verify (and the measurement allowlist) were paid once, at grant time.
+// The MAC covers the service name and round, so a contribution respelled
+// for another tenant or round can never verify; the table's window and
+// expiry bound what a captured ticket can replay. Pipeline ingest applies
+// the same rule batch-wide in processBatch.
 func checkTicketed(serviceName string, tickets *TicketTable, dim int, wantRound *uint64,
 	raw []byte, s *ingestScratch) (fixed.Vector, [32]byte, error) {
 	var digest [32]byte
@@ -411,17 +421,18 @@ func checkTicketed(serviceName string, tickets *TicketTable, dim int, wantRound 
 	return tc.Blinded, digest, nil
 }
 
-// process is the per-contribution hot path: decode into pooled scratch,
-// policy checks, signature verification (all lock-free), then a brief
-// shard-local critical section for dedup and accumulation. Steady state it
-// allocates nothing outside the signature verifier's internals: the decode
-// reuses pooled scratch, the digest lives on the stack, and the dedup
-// insert lands in a pre-sized map (ExpectedCohort).
+// process ingests one signed (ECDSA) contribution for processBatch's
+// phase 1: decode into pooled scratch, policy checks, signature
+// verification (all lock-free), then a brief shard-local critical section
+// for dedup and accumulation. Steady state it allocates nothing outside
+// the signature verifier's internals: the decode reuses pooled scratch,
+// the digest lives on the stack, and the dedup insert lands in a pre-sized
+// map (ExpectedCohort).
 func (p *Pipeline) process(raw []byte) error {
 	s := scratchPool.Get().(*ingestScratch)
 	defer putScratch(s)
-	blinded, digest, err := checkContribution(p.cfg.ServiceName, p.cfg.Verify, p.cfg.Tickets,
-		p.cfg.Dim, &p.cfg.Round, p.vetted, raw, s)
+	blinded, digest, err := checkSigned(p.cfg.ServiceName, p.cfg.Verify, p.cfg.Dim, &p.cfg.Round,
+		p.vetted, raw, &s.sig)
 	if err != nil {
 		return p.reject(err)
 	}

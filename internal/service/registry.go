@@ -341,17 +341,12 @@ func (r *Registry) lookup(name []byte) *Tenant {
 	return r.tenants[string(name)]
 }
 
-// Ingest routes one encoded contribution to its tenant's manager.
+// Ingest routes one encoded contribution to its tenant's manager: a batch
+// of one through the same router as IngestBatch.
 func (r *Registry) Ingest(raw []byte) error {
-	name, err := glimmer.PeekContributionService(raw)
-	if err != nil {
-		return r.refuse(fmt.Errorf("service: %w", err))
-	}
-	t := r.lookup(name)
-	if t == nil {
-		return r.refuse(fmt.Errorf("%w: %q", ErrUnknownTenant, name))
-	}
-	return t.manager.Ingest(raw)
+	raws, errs := [1][]byte{raw}, [1]error{}
+	r.ingestInto(raws[:], errs[:])
+	return errs[0]
 }
 
 // GrantTicket routes a ticket request to the tenant it names and runs that

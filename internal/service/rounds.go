@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"glimmers/internal/glimmer"
 	"glimmers/internal/tee"
 	"glimmers/internal/wire"
 )
@@ -371,25 +370,12 @@ func (m *RoundManager) dropLeastFilled() (*Pipeline, bool) {
 	return m.evictLeastFilledLocked()
 }
 
-// Ingest routes one encoded contribution to its round's pipeline. A
-// contribution for a round with no live pipeline must fully verify before
-// the round is created (it then verifies once more inside the pipeline —
-// the double cost applies only to each round's first contribution).
+// Ingest routes one encoded contribution to its round's pipeline: a batch
+// of one through the same router as IngestBatch.
 func (m *RoundManager) Ingest(raw []byte) error {
-	round, err := glimmer.PeekContributionRound(raw)
-	if err != nil {
-		return m.refuse(fmt.Errorf("service: %w", err))
-	}
-	p, ok := m.Lookup(round)
-	if !ok {
-		if err := m.preverify(raw); err != nil {
-			return m.refuse(err)
-		}
-		if p, err = m.ingestRound(round); err != nil {
-			return m.refuse(err)
-		}
-	}
-	return p.Add(raw)
+	raws, errs := [1][]byte{raw}, [1]error{}
+	m.ingestInto(raws[:], errs[:])
+	return errs[0]
 }
 
 // Seal seals one round's pipeline (see Pipeline.Seal). Sealing a round

@@ -7,14 +7,13 @@ import (
 	"glimmers/internal/glimmer"
 )
 
-// routeScratch pools the grouping bookkeeping the batch routers pay per
-// call: RoundManager.IngestBatch groups by round, Registry.IngestBatch by
-// tenant, and before this both built a fresh map and index slices for every
-// batch — per-frame garbage on a path whose whole point is to amortize
-// per-frame cost. Groups are processed in first-seen submission order
-// (deterministic, unlike the map iteration it replaces); membership is a
-// rescan rather than stored per-group lists, which is O(groups × items)
-// with a group count that is almost always 1.
+// routeScratch pools the grouping bookkeeping the routers pay per call
+// (RoundManager.ingestInto groups by round, Registry.ingestInto by
+// tenant), so routing adds no per-frame garbage on a path whose whole
+// point is to amortize per-frame cost. Groups are processed in first-seen
+// submission order (deterministic); membership is a rescan rather than
+// stored per-group lists, which is O(groups × items) with a group count
+// that is almost always 1.
 type routeScratch struct {
 	rounds  []uint64
 	tenants []*Tenant
@@ -75,6 +74,16 @@ func (rs *routeScratch) errSlots(n int) []error {
 // number accepted and one error slot per input, aligned with raws.
 func (m *RoundManager) IngestBatch(raws [][]byte) (int, []error) {
 	errs := make([]error, len(raws))
+	return m.ingestInto(raws, errs), errs
+}
+
+// ingestInto is the round router behind Ingest and IngestBatch: it fills
+// every slot of errs (aligned with raws, nil for accepted) and returns the
+// number accepted. A contribution for a round with no live pipeline must
+// fully verify (preverify) before the round is created; it then verifies
+// once more inside the pipeline, a double cost paid only by each round's
+// first contribution.
+func (m *RoundManager) ingestInto(raws [][]byte, errs []error) int {
 	rs := getRouteScratch(len(raws))
 	defer rs.release()
 	for i, raw := range raws {
@@ -138,7 +147,7 @@ func (m *RoundManager) IngestBatch(raws [][]byte) (int, []error) {
 			accepted++
 		}
 	}
-	return accepted, errs
+	return accepted
 }
 
 // IngestBatch routes a batch of encoded contributions, grouping them by
@@ -148,6 +157,13 @@ func (m *RoundManager) IngestBatch(raws [][]byte) (int, []error) {
 // grouping bookkeeping is pooled.
 func (r *Registry) IngestBatch(raws [][]byte) (int, []error) {
 	errs := make([]error, len(raws))
+	return r.ingestInto(raws, errs), errs
+}
+
+// ingestInto is the tenant router behind Ingest and IngestBatch: it fills
+// every slot of errs (aligned with raws, nil for accepted) and returns the
+// number accepted.
+func (r *Registry) ingestInto(raws [][]byte, errs []error) int {
 	rs := getRouteScratch(len(raws))
 	defer rs.release()
 	for i, raw := range raws {
@@ -180,11 +196,11 @@ func (r *Registry) IngestBatch(raws [][]byte) (int, []error) {
 				rs.batch = append(rs.batch, raws[j])
 			}
 		}
-		n, terrs := t.manager.IngestBatch(rs.batch)
-		accepted += n
-		for j, err := range terrs {
+		suberrs := rs.errSlots(len(rs.batch))
+		accepted += t.manager.ingestInto(rs.batch, suberrs)
+		for j, err := range suberrs {
 			errs[rs.idx[j]] = err
 		}
 	}
-	return accepted, errs
+	return accepted
 }

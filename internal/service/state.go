@@ -61,11 +61,13 @@ type Journal interface {
 	// RoundForgotten records a round leaving the manager's map (explicit
 	// Forget or cap eviction); its state is no longer registry-reachable.
 	RoundForgotten(tenant string, round uint64)
-	// Accepted records one accepted contribution: its dedup digest and
-	// the blinded vector that entered the sum.
+	// Accepted records one accepted signed contribution: its dedup digest
+	// and the blinded vector that entered the sum.
 	Accepted(tenant string, round uint64, digest [32]byte, blinded fixed.Vector)
-	// BatchAccepted is the batch-ingest watermark: the digests accepted
-	// from one frame and their combined delta on the round's sum.
+	// BatchAccepted is the batch-ingest watermark: the digests of the
+	// ticketed contributions accepted from one batch (a batch of one
+	// included) and their combined delta on the round's sum. Replay
+	// treats it exactly like that many Accepted records.
 	BatchAccepted(tenant string, round uint64, digests [][32]byte, delta fixed.Vector)
 	DropoutCorrected(tenant string, round uint64, mask fixed.Vector)
 	Rejected(tenant string, round uint64, level RejectLevel, n int)

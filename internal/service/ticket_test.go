@@ -521,7 +521,8 @@ func TestPooledMACScratchNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 // TestTicketedIngestAllocFree pins the tentpole contract end to end on the
 // service layer: with a warmed pipeline, steady-state ticketed ingest —
 // decode, table check, session MAC, dedup insert, accumulate — performs
-// zero heap allocations per contribution.
+// zero heap allocations per contribution, both straight into a pipeline
+// and routed through a registry tenant (on its default worker count).
 func TestTicketedIngestAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting differs under the race detector")
@@ -544,20 +545,42 @@ func TestTicketedIngestAllocFree(t *testing.T) {
 		Shards:         1,
 		ExpectedCohort: len(raws),
 	})
-	if err := p.Add(raws[0]); err != nil {
+	defer p.Close()
+	reg := NewRegistry(0)
+	ten, err := reg.AddTenant(TenantConfig{
+		Name:           "alloc.example",
+		Dim:            dim,
+		ExpectedCohort: len(raws),
+		TicketPolicy:   &TicketConfig{},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	i := 0
-	if got := testing.AllocsPerRun(runs, func() {
-		i++
-		if err := p.Add(raws[i]); err != nil {
+	ten.manager.cfg.Tickets.Install(tk.id, tk.key, tk.first, tk.last, 1<<62)
+	cases := []struct {
+		name   string
+		ingest func([]byte) error
+		count  func() int
+	}{
+		{"Pipeline.Add", p.Add, p.Count},
+		{"Registry.Ingest", reg.Ingest, func() int { return ten.Manager().Round(7).Count() }},
+	}
+	for _, c := range cases {
+		if err := c.ingest(raws[0]); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 0 {
-		t.Errorf("ticketed ingest: %.1f allocs/op, want 0", got)
-	}
-	if p.Count() != i+1 {
-		t.Fatalf("count = %d, want %d", p.Count(), i+1)
+		i := 0
+		if got := testing.AllocsPerRun(runs, func() {
+			i++
+			if err := c.ingest(raws[i]); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 0 {
+			t.Errorf("%s: ticketed ingest: %.1f allocs/op, want 0", c.name, got)
+		}
+		if n := c.count(); n != i+1 {
+			t.Fatalf("%s: count = %d, want %d", c.name, n, i+1)
+		}
 	}
 }
 
