@@ -179,3 +179,71 @@ func TestPooledScratchNotAliasedAcrossConcurrentAddBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseAllocsFlat pins the release path's allocation count to the
+// round's shape, not its size: Pipeline.PartialSeal and Merge.Absorb must
+// allocate no more often at 4096 digests than at 256. Each stage builds
+// its digest block once at its exact size; a per-digest map or a buffer
+// grown by doubling would add allocations with the cohort.
+func TestReleaseAllocsFlat(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	const runs = 20
+	measure := func(n int) (seal, absorb float64) {
+		raws := allocRaws(t, 2*n, 4, 7, nil)
+		nodes := [2]NodeSeal{newNodeSeal(t, 1, 2), newNodeSeal(t, 2, 2)}
+		var seals [2][]byte
+		var pipes [2]*Pipeline
+		for w := range pipes {
+			pipes[w] = NewPipeline(PipelineConfig{
+				ServiceName: "alloc.example", Dim: 4, Round: 7, Workers: 1, Shards: 4,
+			})
+			pipes[w].Vet(tee.Measurement{1})
+			for _, raw := range raws[w*n : (w+1)*n] {
+				if err := pipes[w].Add(raw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var err error
+			if seals[w], err = pipes[w].PartialSeal(nodes[w]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seal = testing.AllocsPerRun(runs, func() {
+			if _, err := pipes[0].PartialSeal(nodes[0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Each run absorbs the second partial into its own merge, so the
+		// disjointness walk over the first one is inside the measurement.
+		merges := make([]*Merge, runs+1)
+		for i := range merges {
+			merges[i] = NewMerge(MergeConfig{
+				ServiceName: "alloc.example", Dim: 4, Round: 7, Expect: []uint32{1, 2},
+				Nodes: map[uint32]MergeNode{1: nodes[0].mergeNode(), 2: nodes[1].mergeNode()},
+			})
+			if err := merges[i].Absorb(seals[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		absorb = testing.AllocsPerRun(runs, func() {
+			if err := merges[i].Absorb(seals[1]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		return seal, absorb
+	}
+	seal256, absorb256 := measure(256)
+	seal4096, absorb4096 := measure(4096)
+	t.Logf("PartialSeal %.0f → %.0f allocs, Absorb %.0f → %.0f allocs (256 → 4096 digests)",
+		seal256, seal4096, absorb256, absorb4096)
+	if seal4096 > seal256 {
+		t.Errorf("PartialSeal: %.0f allocs at 4096 digests, %.0f at 256", seal4096, seal256)
+	}
+	if absorb4096 > absorb256 {
+		t.Errorf("Merge.Absorb: %.0f allocs at 4096 digests, %.0f at 256", absorb4096, absorb256)
+	}
+}

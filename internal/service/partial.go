@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -27,6 +28,16 @@ import (
 // sees an unblinded value, so it stays outside the trust boundary — the
 // same minimize-the-trusted-core move the paper makes for the service
 // itself.
+//
+// A round's digest coverage travels as one sorted flat block, and no step
+// rebuilds it. Export sorts an exactly sized digest list, and
+// wire.SealPartial signs and encodes the seal in one buffer. The
+// coordinator verifies the signature over the field block as received
+// (PartialSeal.SignedHash: the canonical codec makes it the re-encoded
+// preimage). It keeps each absorbed partial's block, which
+// DecodePartialSeal has proven strictly ascending, and proves a new seal
+// disjoint from them by merge-walking the sorted lists, with no digest
+// map.
 
 // Merge refusal sentinels. Each names the check that turned a seal away;
 // a refused seal never perturbs the merge (all-or-nothing absorption).
@@ -73,15 +84,15 @@ func (p *Pipeline) PartialSeal(n NodeSeal) ([]byte, error) {
 		return nil, err
 	}
 	rs := p.exportRound()
-	digests := make([]byte, 0, len(rs.Digests)*wire.SealDigestLen)
+	digests := make([]byte, len(rs.Digests)*wire.SealDigestLen)
 	for i := range rs.Digests {
-		digests = append(digests, rs.Digests[i][:]...)
+		copy(digests[i*wire.SealDigestLen:], rs.Digests[i][:])
 	}
 	der, err := n.Key.Public().Marshal()
 	if err != nil {
 		return nil, fmt.Errorf("service: partial seal: %w", err)
 	}
-	seal := wire.PartialSeal{
+	raw, err := wire.SealPartial(wire.PartialSeal{
 		Service:     p.cfg.ServiceName,
 		Round:       p.cfg.Round,
 		NodeID:      n.NodeID,
@@ -92,13 +103,11 @@ func (p *Pipeline) PartialSeal(n NodeSeal) ([]byte, error) {
 		Rejected:    rs.Rejected,
 		Sum:         glimmer.VectorToBits(rs.Sum),
 		Digests:     digests,
-	}
-	sig, err := n.Key.Sign(seal.SignedBytes())
+	}, n.Key.Sign)
 	if err != nil {
 		return nil, fmt.Errorf("service: partial seal: %w", err)
 	}
-	seal.Signature = sig
-	return wire.EncodePartialSeal(seal), nil
+	return raw, nil
 }
 
 // ExportPartialSeal seals the given round and exports its partial seal.
@@ -188,11 +197,18 @@ type Merge struct {
 	shardCount uint32 // partials needed; 0 until known (dynamic mode)
 	expect     map[uint32]bool
 	absorbed   map[uint32]bool
-	seen       map[[wire.SealDigestLen]byte]uint32 // digest -> absorbing node
+	covered    []coverage // absorbed partials' non-empty digest blocks
 	sum        fixed.Vector
 	count      uint64
 	rejected   uint64
 	refused    uint64
+}
+
+// coverage is one absorbed partial's digest block — strictly ascending,
+// as DecodePartialSeal proved — and the node that claimed it.
+type coverage struct {
+	node    uint32
+	digests []byte
 }
 
 type mergePin struct {
@@ -206,7 +222,6 @@ func NewMerge(cfg MergeConfig) *Merge {
 		cfg:      cfg,
 		pins:     cfg.Pins,
 		absorbed: make(map[uint32]bool),
-		seen:     make(map[[wire.SealDigestLen]byte]uint32),
 	}
 	if m.pins == nil {
 		m.pins = &NodePins{}
@@ -237,6 +252,8 @@ func (m *Merge) Absorb(raw []byte) error {
 	return m.absorbSeal(seal)
 }
 
+// absorbSeal takes a seal fresh from DecodePartialSeal: the checks rely
+// on its canonical digest order and its received field block.
 func (m *Merge) absorbSeal(seal wire.PartialSeal) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -257,8 +274,8 @@ func (m *Merge) absorbSeal(seal wire.PartialSeal) error {
 		m.pins.pin(seal.NodeID, mergePin{key: key.Fingerprint(), measurement: meas})
 	}
 	fixed.AccumulateInto(m.sum, seal.Sum)
-	for i := 0; i < seal.DigestCount(); i++ {
-		m.seen[seal.DigestAt(i)] = seal.NodeID
+	if len(seal.Digests) > 0 {
+		m.covered = append(m.covered, coverage{node: seal.NodeID, digests: seal.Digests})
 	}
 	m.absorbed[seal.NodeID] = true
 	m.count += seal.Count
@@ -326,19 +343,45 @@ func (m *Merge) checkSeal(seal wire.PartialSeal) error {
 		return fmt.Errorf("%w: node %d has no registered identity", ErrSealIdentity, seal.NodeID)
 	}
 
-	if !verify.Verify(seal.SignedBytes(), seal.Signature) {
+	if !verify.VerifyHash(seal.SignedHash(), seal.Signature) {
 		return fmt.Errorf("%w: node %d", ErrSealSignature, seal.NodeID)
 	}
 
 	// Disjoint coverage: every digest must be new to the merge. Checked
-	// in full before commit so an overlapping seal changes nothing.
-	for i := 0; i < seal.DigestCount(); i++ {
-		if owner, dup := m.seen[seal.DigestAt(i)]; dup {
-			return fmt.Errorf("%w: node %d re-claims a contribution node %d covers",
-				ErrSealOverlap, seal.NodeID, owner)
+	// in full before commit so an overlapping seal changes nothing. The
+	// seal's block and each absorbed block are strictly ascending, so one
+	// merge-walk per absorbed block finds the seal's first shared digest;
+	// the lowest across blocks names its owner.
+	first, owner := len(seal.Digests), uint32(0)
+	for _, c := range m.covered {
+		if i := firstShared(seal.Digests[:first], c.digests); i < first {
+			first, owner = i, c.node
 		}
 	}
+	if first < len(seal.Digests) {
+		return fmt.Errorf("%w: node %d re-claims a contribution node %d covers",
+			ErrSealOverlap, seal.NodeID, owner)
+	}
 	return nil
+}
+
+// firstShared merge-walks two strictly ascending digest blocks and
+// returns the byte offset in a of the first digest b also holds, or
+// len(a) if they are disjoint.
+func firstShared(a, b []byte) int {
+	const n = wire.SealDigestLen
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := bytes.Compare(a[i:i+n], b[j:j+n]); {
+		case c < 0:
+			i += n
+		case c > 0:
+			j += n
+		default:
+			return i
+		}
+	}
+	return len(a)
 }
 
 // Complete reports whether every expected partial has been absorbed.

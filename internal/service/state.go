@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"glimmers/internal/fixed"
@@ -216,6 +219,13 @@ func (p *Pipeline) exportRound() RoundState {
 		Rejected: uint64(p.rejected.Load()),
 		Sum:      sum,
 	}
+	n := 0
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+		n += len(sh.seen)
+		sh.mu.Unlock()
+	}
+	rs.Digests = make([][32]byte, 0, n)
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 		for d := range sh.seen {
@@ -227,15 +237,15 @@ func (p *Pipeline) exportRound() RoundState {
 	return rs
 }
 
+// sortDigests sorts lexicographically. Digests are uniform hashes, so the
+// first 8 bytes as a big-endian word almost always decide; the full
+// compare runs only on ties.
 func sortDigests(ds [][32]byte) {
-	sort.Slice(ds, func(i, j int) bool {
-		a, b := &ds[i], &ds[j]
-		for k := 0; k < 32; k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
+	slices.SortFunc(ds, func(a, b [32]byte) int {
+		if c := cmp.Compare(binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(b[:8])); c != 0 {
+			return c
 		}
-		return false
+		return bytes.Compare(a[:], b[:])
 	})
 }
 
@@ -335,18 +345,18 @@ func (p *Pipeline) restoreAccepted(digests [][32]byte, delta fixed.Vector) {
 // clock-dependent.
 func (t *TicketTable) restoreTicket(tk TicketState) {
 	t.mu.Lock()
-	t.entries[tk.ID] = ticketEntry{
+	t.setLocked(tk.ID, ticketEntry{
 		key:         tk.Key,
 		roundFirst:  tk.RoundFirst,
 		roundLast:   tk.RoundLast,
 		expiresUnix: tk.ExpiresUnix,
-	}
+	})
 	t.mu.Unlock()
 }
 
 func (t *TicketTable) deleteTicket(id uint64) {
 	t.mu.Lock()
-	delete(t.entries, id)
+	t.deleteLocked(id)
 	t.mu.Unlock()
 }
 

@@ -99,6 +99,12 @@ type TicketTable struct {
 
 	mu      sync.RWMutex
 	entries map[uint64]ticketEntry
+	// expiry orders the entries by (expiresUnix, id) for eviction. It is
+	// lazy: a record whose entry is gone or carries another expiry is
+	// stale and skipped when it surfaces, and the heap is rebuilt from
+	// entries once it holds more than twice as many records as live
+	// tickets.
+	expiry expiryHeap
 
 	// tenant/journal route grant and evict events to the durable journal
 	// (see state.go); set via Registry.SetJournal before traffic.
@@ -156,34 +162,138 @@ func (t *TicketTable) journalInsert(j Journal, tenant string, evicted []uint64, 
 // ID on ties, so eviction is deterministic). It returns the removed IDs
 // so the caller can journal them — replay re-applies recorded removals
 // instead of re-running this policy, which keeps replay clock-independent.
+// Each removal is a heap pop, so a grant at the bound costs O(log n), not
+// a scan of the table under the write lock.
 func (t *TicketTable) insertLocked(id uint64, e ticketEntry) (evicted []uint64) {
 	if len(t.entries) >= t.cfg.MaxTickets {
 		now := t.now()
-		for k, v := range t.entries {
-			if now > v.expiresUnix {
-				delete(t.entries, k)
-				if t.journal != nil {
-					evicted = append(evicted, k)
-				}
+		for {
+			top, ok := t.soonestLocked()
+			if !ok || now <= top.expiresUnix {
+				break
 			}
+			evicted = t.evictLocked(top.id, evicted)
 		}
 	}
 	for len(t.entries) >= t.cfg.MaxTickets {
-		var victim uint64
-		var victimExp int64
-		found := false
-		for k, v := range t.entries {
-			if !found || v.expiresUnix < victimExp || (v.expiresUnix == victimExp && k < victim) {
-				victim, victimExp, found = k, v.expiresUnix, true
-			}
-		}
-		delete(t.entries, victim)
-		if t.journal != nil {
-			evicted = append(evicted, victim)
-		}
+		top, _ := t.soonestLocked()
+		evicted = t.evictLocked(top.id, evicted)
 	}
-	t.entries[id] = e
+	t.setLocked(id, e)
 	return evicted
+}
+
+// setLocked stores an entry and records its expiry for eviction.
+func (t *TicketTable) setLocked(id uint64, e ticketEntry) {
+	old, ok := t.entries[id]
+	t.entries[id] = e
+	if !ok || old.expiresUnix != e.expiresUnix {
+		t.expiry.push(ticketExpiry{expiresUnix: e.expiresUnix, id: id})
+	}
+	t.compactLocked()
+}
+
+// deleteLocked removes an entry; its heap record goes stale.
+func (t *TicketTable) deleteLocked(id uint64) {
+	delete(t.entries, id)
+	t.compactLocked()
+}
+
+// evictLocked removes the heap's live top, whose ID is id, appending it
+// to evicted when a journal will record it.
+func (t *TicketTable) evictLocked(id uint64, evicted []uint64) []uint64 {
+	t.expiry.pop()
+	delete(t.entries, id)
+	if t.journal != nil {
+		evicted = append(evicted, id)
+	}
+	return evicted
+}
+
+// soonestLocked discards stale records from the top of the heap and
+// returns the live ticket that expires first (lowest ID on ties).
+func (t *TicketTable) soonestLocked() (ticketExpiry, bool) {
+	for len(t.expiry) > 0 {
+		top := t.expiry[0]
+		if e, ok := t.entries[top.id]; ok && e.expiresUnix == top.expiresUnix {
+			return top, true
+		}
+		t.expiry.pop()
+	}
+	return ticketExpiry{}, false
+}
+
+// compactLocked rebuilds the heap from the live entries once stale
+// records outnumber them, bounding the heap at twice the table.
+func (t *TicketTable) compactLocked() {
+	if len(t.expiry) <= 2*len(t.entries) {
+		return
+	}
+	t.expiry = t.expiry[:0]
+	for id, e := range t.entries {
+		t.expiry = append(t.expiry, ticketExpiry{expiresUnix: e.expiresUnix, id: id})
+	}
+	t.expiry.init()
+}
+
+// ticketExpiry is one eviction-order record.
+type ticketExpiry struct {
+	expiresUnix int64
+	id          uint64
+}
+
+func (a ticketExpiry) less(b ticketExpiry) bool {
+	return a.expiresUnix < b.expiresUnix || (a.expiresUnix == b.expiresUnix && a.id < b.id)
+}
+
+// expiryHeap is a binary min-heap of ticketExpiry records.
+type expiryHeap []ticketExpiry
+
+func (h *expiryHeap) push(x ticketExpiry) {
+	*h = append(*h, x)
+	h.up(len(*h) - 1)
+}
+
+// pop removes the minimum record.
+func (h *expiryHeap) pop() {
+	n := len(*h) - 1
+	(*h)[0] = (*h)[n]
+	*h = (*h)[:n]
+	h.down(0)
+}
+
+func (h expiryHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h expiryHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].less(h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (h expiryHeap) down(i int) {
+	for {
+		least, l := i, 2*i+1
+		if l < len(h) && h[l].less(h[least]) {
+			least = l
+		}
+		if r := l + 1; r < len(h) && h[r].less(h[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // check is the ingest hot path: resolve the ticket and enforce expiry and

@@ -3,6 +3,9 @@ package service
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -342,6 +345,120 @@ func TestTicketTableBoundsAndEviction(t *testing.T) {
 	}
 	if tbl.Len() > 3 {
 		t.Fatalf("len = %d exceeds bound", tbl.Len())
+	}
+}
+
+// evictionModel is the ticket table's bound policy as the brute-force
+// scan it replaced: at the bound drop every expired ticket, then evict the
+// soonest-expiring one (lowest ID on ties) until there is room.
+type evictionModel struct {
+	max     int
+	expires map[uint64]int64
+}
+
+func (m *evictionModel) insert(now int64, id uint64, exp int64) (evicted []uint64) {
+	if len(m.expires) >= m.max {
+		for k, v := range m.expires {
+			if now > v {
+				delete(m.expires, k)
+				evicted = append(evicted, k)
+			}
+		}
+	}
+	for len(m.expires) >= m.max {
+		var victim uint64
+		var victimExp int64
+		found := false
+		for k, v := range m.expires {
+			if !found || v < victimExp || (v == victimExp && k < victim) {
+				victim, victimExp, found = k, v, true
+			}
+		}
+		delete(m.expires, victim)
+		evicted = append(evicted, victim)
+	}
+	m.expires[id] = exp
+	return evicted
+}
+
+// evictRecorder is a Journal that records only ticket evictions.
+type evictRecorder struct {
+	Journal
+	evicted []uint64
+}
+
+func (r *evictRecorder) TicketEvicted(_ string, id uint64) { r.evicted = append(r.evicted, id) }
+func (r *evictRecorder) TicketGranted(string, TicketState) {}
+
+// TestTicketEvictionMatchesModel drives the heap-backed table and the
+// brute-force model through random installs (fresh IDs and overwrites),
+// restores, deletes and clock steps. Every insert must journal the same
+// removed IDs and leave the same tickets with the same expiries, and the
+// lazy heap must stay within twice the live table.
+func TestTicketEvictionMatchesModel(t *testing.T) {
+	for _, max := range []int{1, 2, 3, 8, 64} {
+		t.Run(fmt.Sprintf("max%d", max), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(max)))
+			now := int64(1000)
+			tbl := NewTicketTable(TicketConfig{MaxTickets: max, Now: func() int64 { return now }})
+			rec := &evictRecorder{}
+			tbl.setJournal("evict.example", rec)
+			model := &evictionModel{max: max, expires: make(map[uint64]int64)}
+			ids := uint64(3 * max)
+			for step := 0; step < 4000; step++ {
+				id := uint64(rng.Int63n(int64(ids)))
+				exp := now + rng.Int63n(30) - 5
+				switch op := rng.Intn(20); {
+				case op < 11:
+					rec.evicted = rec.evicted[:0]
+					tbl.Install(id, xcrypto.SessionKey{byte(id)}, 0, 10, exp)
+					want := model.insert(now, id, exp)
+					got := append([]uint64(nil), rec.evicted...)
+					slices.Sort(got)
+					slices.Sort(want)
+					if !slices.Equal(got, want) {
+						t.Fatalf("step %d: install %d evicted %v, model %v", step, id, got, want)
+					}
+				case op < 14:
+					tbl.restoreTicket(TicketState{ID: id, ExpiresUnix: exp})
+					model.expires[id] = exp
+				case op < 17:
+					tbl.deleteTicket(id)
+					delete(model.expires, id)
+				default:
+					now += rng.Int63n(8)
+				}
+				tbl.mu.RLock()
+				if len(tbl.entries) != len(model.expires) {
+					t.Fatalf("step %d: table holds %d tickets, model %d", step, len(tbl.entries), len(model.expires))
+				}
+				for k, e := range tbl.entries {
+					if exp, ok := model.expires[k]; !ok || exp != e.expiresUnix {
+						t.Fatalf("step %d: ticket %d expires %d, model has %d (present %v)", step, k, e.expiresUnix, exp, ok)
+					}
+				}
+				if len(tbl.expiry) > 2*len(tbl.entries) {
+					t.Fatalf("step %d: heap holds %d records for %d tickets", step, len(tbl.expiry), len(tbl.entries))
+				}
+				tbl.mu.RUnlock()
+			}
+		})
+	}
+}
+
+// BenchmarkTicketInstallAtBound prices one grant's table insert on a
+// full default-size table: every insert evicts the soonest-expiring
+// ticket.
+func BenchmarkTicketInstallAtBound(b *testing.B) {
+	now := int64(1000)
+	tbl := NewTicketTable(TicketConfig{Now: func() int64 { return now }})
+	for i := 0; i < DefaultMaxTickets; i++ {
+		tbl.Install(uint64(i), xcrypto.SessionKey{}, 0, 10, now+int64(i))
+	}
+	id := uint64(DefaultMaxTickets)
+	for b.Loop() {
+		tbl.Install(id, xcrypto.SessionKey{}, 0, 10, now+int64(id))
+		id++
 	}
 }
 

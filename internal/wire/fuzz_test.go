@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 )
 
@@ -166,6 +167,11 @@ func FuzzDecodePartialSeal(f *testing.F) {
 			}
 			if len(s.SignedBytes()) == 0 {
 				t.Fatal("empty signing preimage for a decodable seal")
+			}
+			// The merge verifies over the received field block; the
+			// canonical codec makes that the re-encoded preimage.
+			if s.SignedHash() != sha256.Sum256(s.SignedBytes()) {
+				t.Fatalf("SignedHash differs from sha256(SignedBytes) for %x", data)
 			}
 		}
 		if m, err := DecodeMergeResult(data); err == nil {

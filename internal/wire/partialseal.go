@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 )
@@ -19,6 +20,17 @@ import (
 // matter how a shard was re-homed. MergeResult is the coordinator's
 // answer. Both encodings are public and auditable like every other
 // message in the system, and frozen by golden fixtures.
+
+// partialSealDomain separates the partial-seal signature preimage from
+// every other signed byte string; partialSealHeader is its encoded form,
+// the preimage's first bytes.
+const partialSealDomain = "glimmers/partial-seal/v1"
+
+var partialSealHeader = NewWriter().String(partialSealDomain).Finish()
+
+// sealSigReserve is the room SealPartial leaves for the signature field:
+// its length prefix plus the longest ASN.1 ECDSA P-256 signature.
+const sealSigReserve = 4 + 72
 
 // SealDigestLen is the length of one dedup digest as it appears in a
 // partial seal (SHA-256 of the raw contribution, or the session MAC on
@@ -65,6 +77,11 @@ type PartialSeal struct {
 	Digests []byte
 	// Signature is the node's ECDSA signature over SignedBytes.
 	Signature []byte
+
+	// signed is the received field block — every field but the
+	// signature, as the bytes arrived — on a seal from DecodePartialSeal;
+	// nil on a seal built in memory.
+	signed []byte
 }
 
 // DigestCount returns the number of dedup digests the seal carries.
@@ -80,10 +97,37 @@ func (s PartialSeal) DigestAt(i int) [SealDigestLen]byte {
 // SignedBytes returns the byte string the seal signature covers: a
 // domain-separated encoding of every field except the signature itself.
 func (s PartialSeal) SignedBytes() []byte {
-	w := NewWriter()
-	w.String("glimmers/partial-seal/v1")
+	w := NewWriter().Grow(len(partialSealHeader) + s.fieldsLen())
+	w.Raw(partialSealHeader)
 	s.writeFields(w)
 	return w.Finish()
+}
+
+// SignedHash returns the SHA-256 of SignedBytes, the digest the signature
+// covers. A decoded seal hashes the domain header and its received field
+// block without re-encoding anything: the codec is canonical (fixed
+// widths, length prefixes, nothing trailing), so the received bytes are
+// exactly the re-encoding. That block aliases the decoder's input, so
+// call SignedHash while the input is intact, and re-encode (not hash) a
+// decoded seal whose fields were changed. A seal built in memory hashes
+// SignedBytes.
+func (s PartialSeal) SignedHash() [32]byte {
+	if s.signed == nil {
+		return sha256.Sum256(s.SignedBytes())
+	}
+	h := sha256.New()
+	h.Write(partialSealHeader)
+	h.Write(s.signed)
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// fieldsLen is the encoded size of every field but the signature.
+func (s PartialSeal) fieldsLen() int {
+	return 4 + len(s.Service) + 8 + 4 + 4 +
+		4 + len(s.Measurement) + 4 + len(s.NodeKey) + 8 + 8 +
+		4 + 8*len(s.Sum) + 4 + len(s.Digests)
 }
 
 func (s PartialSeal) writeFields(w *Writer) {
@@ -101,16 +145,34 @@ func (s PartialSeal) writeFields(w *Writer) {
 
 // EncodePartialSeal serializes the full seal.
 func EncodePartialSeal(s PartialSeal) []byte {
-	w := NewWriter()
+	w := NewWriter().Grow(s.fieldsLen() + 4 + len(s.Signature))
 	s.writeFields(w)
 	w.Bytes(s.Signature)
 	return w.Finish()
 }
 
+// SealPartial signs and encodes s in one exactly sized buffer: it writes
+// the domain header and the fields once, passes that prefix (SignedBytes)
+// to sign, and appends the signature. It returns the bytes after the
+// header, byte-identical to EncodePartialSeal of s carrying that
+// signature; s.Signature is ignored.
+func SealPartial(s PartialSeal, sign func(preimage []byte) ([]byte, error)) ([]byte, error) {
+	w := NewWriter().Grow(len(partialSealHeader) + s.fieldsLen() + sealSigReserve)
+	w.Raw(partialSealHeader)
+	s.writeFields(w)
+	sig, err := sign(w.Finish())
+	if err != nil {
+		return nil, err
+	}
+	w.Bytes(sig)
+	return w.Finish()[len(partialSealHeader):], nil
+}
+
 // DecodePartialSeal reverses EncodePartialSeal, enforcing the structural
 // invariants — fixed measurement length, digest-count/Count agreement,
 // and canonical (strictly ascending, duplicate-free) digest order — so a
-// malformed seal is refused before any crypto runs.
+// malformed seal is refused before any crypto runs. Every field is a
+// copy; the seal keeps a view of data's field block for SignedHash only.
 func DecodePartialSeal(data []byte) (PartialSeal, error) {
 	r := NewReader(data)
 	s := PartialSeal{
@@ -124,8 +186,9 @@ func DecodePartialSeal(data []byte) (PartialSeal, error) {
 		Rejected:    r.Uint64(),
 		Sum:         r.Uint64s(),
 		Digests:     r.Bytes(),
-		Signature:   r.Bytes(),
 	}
+	fieldsEnd := len(data) - r.Remaining()
+	s.Signature = r.Bytes()
 	if err := r.Done(); err != nil {
 		return s, fmt.Errorf("%w: seal: %v", ErrPartialSeal, err)
 	}
@@ -143,6 +206,7 @@ func DecodePartialSeal(data []byte) (PartialSeal, error) {
 			return s, fmt.Errorf("%w: digests not in strict ascending order", ErrPartialSeal)
 		}
 	}
+	s.signed = data[:fieldsEnd:fieldsEnd]
 	return s, nil
 }
 

@@ -2,10 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"glimmers/internal/xcrypto"
 )
 
 // The merge plane is cross-process protocol surface: a coordinator on one
@@ -193,5 +198,116 @@ func TestPartialSealEmpty(t *testing.T) {
 	}
 	if dec.DigestCount() != 0 || dec.Count != 0 {
 		t.Fatalf("empty seal decoded as count=%d digests=%d", dec.Count, dec.DigestCount())
+	}
+}
+
+// randomPartialSeal builds a seal with n ascending random digests and a
+// dim-lane sum: the shapes a real export produces, at any size.
+func randomPartialSeal(rng *rand.Rand, n, dim int) PartialSeal {
+	s := goldenPartialSeal()
+	s.Count = uint64(n)
+	s.Sum = make([]uint64, dim)
+	for i := range s.Sum {
+		s.Sum[i] = rng.Uint64()
+	}
+	s.Digests = make([]byte, n*SealDigestLen)
+	// Stride the first byte pair so the digests ascend strictly whatever
+	// the random tail holds.
+	for i := 0; i < n; i++ {
+		d := s.Digests[i*SealDigestLen : (i+1)*SealDigestLen]
+		rng.Read(d)
+		d[0], d[1] = byte(i>>8), byte(i)
+	}
+	return s
+}
+
+// TestSealPartialMatchesEncode pins the one-buffer sealing path to the
+// two-pass one: sign sees exactly SignedBytes, and the result is
+// EncodePartialSeal of the seal carrying the returned signature.
+func TestSealPartialMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	empty := goldenPartialSeal()
+	empty.Count, empty.Digests = 0, nil
+	long := bytes.Repeat([]byte{0x5A}, 100) // past sealSigReserve: the buffer grows
+	for name, c := range map[string]struct {
+		seal PartialSeal
+		sig  []byte
+	}{
+		"golden":  {goldenPartialSeal(), goldenPartialSeal().Signature},
+		"empty":   {empty, []byte{0x01}},
+		"wide":    {randomPartialSeal(rng, 300, 256), bytes.Repeat([]byte{0x30}, 72)},
+		"longsig": {randomPartialSeal(rng, 3, 4), long},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var preimage []byte
+			got, err := SealPartial(c.seal, func(pre []byte) ([]byte, error) {
+				preimage = append([]byte(nil), pre...)
+				return c.sig, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(preimage, c.seal.SignedBytes()) {
+				t.Fatalf("sign saw %x, want SignedBytes %x", preimage, c.seal.SignedBytes())
+			}
+			c.seal.Signature = c.sig
+			if want := EncodePartialSeal(c.seal); !bytes.Equal(got, want) {
+				t.Fatalf("SealPartial:\n got: %x\nwant: %x", got, want)
+			}
+		})
+	}
+	if got, err := SealPartial(goldenPartialSeal(), func([]byte) ([]byte, error) {
+		return nil, errors.New("no key")
+	}); err == nil || got != nil {
+		t.Fatalf("sign failure returned %x, %v", got, err)
+	}
+}
+
+// TestPartialSealCrossVerify: seals signed the two-pass way verify
+// through SignedHash and VerifyHash, one-buffer seals verify through
+// SignedBytes and Verify, and a decoded seal's SignedHash equals the
+// hash of its re-encoded preimage.
+func TestPartialSealCrossVerify(t *testing.T) {
+	key, err := xcrypto.NewSigningKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := key.Public()
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{0, 1, 2, 64, 1024} {
+		s := randomPartialSeal(rng, n, 16)
+
+		old := s
+		if old.Signature, err = key.Sign(old.SignedBytes()); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodePartialSeal(EncodePartialSeal(old))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.SignedHash() != sha256.Sum256(dec.SignedBytes()) {
+			t.Fatalf("n=%d: decoded SignedHash differs from the re-encoded preimage's hash", n)
+		}
+		if !pub.VerifyHash(dec.SignedHash(), dec.Signature) {
+			t.Fatalf("n=%d: two-pass seal fails VerifyHash(SignedHash)", n)
+		}
+
+		raw, err := SealPartial(s, key.Sign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec, err = DecodePartialSeal(raw); err != nil {
+			t.Fatal(err)
+		}
+		if !pub.Verify(dec.SignedBytes(), dec.Signature) {
+			t.Fatalf("n=%d: one-buffer seal fails Verify(SignedBytes)", n)
+		}
+		if !pub.VerifyHash(dec.SignedHash(), dec.Signature) {
+			t.Fatalf("n=%d: one-buffer seal fails VerifyHash(SignedHash)", n)
+		}
+		// A hand-built seal (no received block) hashes its encoding.
+		if s.SignedHash() != sha256.Sum256(s.SignedBytes()) {
+			t.Fatalf("n=%d: in-memory SignedHash differs from sha256(SignedBytes)", n)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Limits guard against malformed length prefixes when decoding untrusted
@@ -42,6 +43,14 @@ func NewWriter() *Writer { return &Writer{} }
 // writer can encode a stream of messages without re-allocating. Hot paths
 // (gaas framing, bulk encoders) pool Writers and Reset between uses.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
+// Grow guarantees room for n more bytes without reallocating, so an
+// encoder that knows its message size writes into one exactly sized
+// buffer instead of growing by doubling.
+func (w *Writer) Grow(n int) *Writer {
+	w.buf = slices.Grow(w.buf, n)
+	return w
+}
 
 // Bytes appends a length-prefixed byte field.
 func (w *Writer) Bytes(b []byte) *Writer {

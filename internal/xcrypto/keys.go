@@ -71,7 +71,13 @@ func ParseSigningKey(der []byte) (*SigningKey, error) {
 
 // Verify reports whether sig is a valid signature over msg.
 func (k *VerifyKey) Verify(msg, sig []byte) bool {
-	digest := sha256.Sum256(msg)
+	return k.VerifyHash(sha256.Sum256(msg), sig)
+}
+
+// VerifyHash reports whether sig is a valid signature over a message
+// whose SHA-256 digest is digest — Verify for callers that hash a
+// message piecewise instead of holding it in one buffer.
+func (k *VerifyKey) VerifyHash(digest [32]byte, sig []byte) bool {
 	return ecdsa.VerifyASN1(k.pub, digest[:], sig)
 }
 
