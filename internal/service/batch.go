@@ -23,8 +23,9 @@ import (
 //  1. decode every frame into a zero-copy TicketedView (vectors stay as
 //     wire lane bytes) and run the cheap identity checks in submission
 //     order, filling error slots and the rejected counter as it goes;
-//  2. resolve each distinct ticket against the table once, then verify all
-//     MACs under a key whose HMAC pad states are computed once per ticket
+//  2. resolve every distinct ticket against the table once, all of them
+//     under one read lock and one clock read, then verify all MACs under a
+//     key whose HMAC pad states are computed once per ticket
 //     (xcrypto.MACState.SetKey) instead of once per message;
 //  3. counting-sort the survivors by dedup shard — the sort is stable, so
 //     per-shard processing preserves submission order and the earlier of
@@ -205,18 +206,15 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 		it.ok = true
 	}
 
-	// Phase 2: resolve each distinct ticket once, then verify every MAC
-	// under cached pad states. Items are in submission order, which is
-	// almost always a single run of one ticket, so SetKey is a no-op for
-	// all but the first item of each run.
+	// Phase 2: resolve every distinct ticket under one table lock and one
+	// clock read, then verify every MAC under cached pad states. Items are
+	// in submission order, which is almost always a single run of one
+	// ticket, so SetKey is a no-op for all but the first item of each run.
 	if len(a.groups) > 0 {
-		for gi := range a.groups {
-			g := &a.groups[gi]
-			// Every item in the group already passed the round check, so
-			// the group resolves at the pipeline's round — the (ticket,
-			// round) pair each of its items names.
-			g.key, g.err = p.cfg.Tickets.check(g.id, p.cfg.Round)
-		}
+		// Every item in a group already passed the round check, so the
+		// group resolves at the pipeline's round — the (ticket, round)
+		// pair each of its items names.
+		p.cfg.Tickets.resolve(a.groups, p.cfg.Round)
 		m := batchMACs.Get()
 		for i := range a.items {
 			it := &a.items[i]
@@ -290,15 +288,16 @@ func (p *Pipeline) processBatch(raws [][]byte, errs []error) {
 		}
 		sh := p.shards[s]
 		sh.mu.Lock()
+		seen := sh.seen.m
 		for _, k := range order[lo:hi] {
 			it := &a.items[k]
-			if sh.seen[it.digest] {
+			if seen[it.digest] {
 				errs[it.idx] = ErrDuplicate
 				p.rejected.Add(1)
 				dups++
 				continue
 			}
-			sh.seen[it.digest] = true
+			seen[it.digest] = true
 			fixed.AccumulateWireInto(sh.sum, it.view.LaneBytes)
 			sh.count++
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"glimmers/internal/fixed"
@@ -30,14 +31,17 @@ import (
 // itself.
 //
 // A round's digest coverage travels as one sorted flat block, and no step
-// rebuilds it. Export sorts an exactly sized digest list, and
-// wire.SealPartial signs and encodes the seal in one buffer. The
-// coordinator verifies the signature over the field block as received
-// (PartialSeal.SignedHash: the canonical codec makes it the re-encoded
-// preimage). It keeps each absorbed partial's block, which
-// DecodePartialSeal has proven strictly ascending, and proves a new seal
-// disjoint from them by merge-walking the sorted lists, with no digest
-// map.
+// rebuilds it. Export sorts the digest list in pooled scratch, and
+// wire.SealPartial signs and encodes the seal in one buffer, the only
+// allocation sized by the cohort. The coordinator verifies the signature
+// over the field block as received (PartialSeal.SignedHash: the canonical
+// codec makes it the re-encoded preimage). DecodePartialSeal hands it the
+// digest block as a view, already proven strictly ascending; the merge
+// copies a block only while it still waits for partials, and proves a new
+// seal disjoint from the kept blocks by merge-walking the sorted lists,
+// with no digest map. A completed merge drops its coverage: every later
+// seal is refused as a replay or as surplus before any walk, so a
+// coordinator keeps no per-contribution memory for a finished round.
 
 // Merge refusal sentinels. Each names the check that turned a seal away;
 // a refused seal never perturbs the merge (all-or-nothing absorption).
@@ -75,7 +79,9 @@ type NodeSeal struct {
 // PartialSeal seals the round (idempotent; a closed round exports its
 // immutable aggregate) and returns the node's signed partial seal. The
 // export walks the same path durable snapshots use, so the digests are
-// the exact dedup coverage and the sum is the merged shard total.
+// the exact dedup coverage and the sum is the merged shard total. A round
+// that has left its manager (Forget, eviction) has recycled its coverage
+// and fails with ErrRoundReleased.
 func (p *Pipeline) PartialSeal(n NodeSeal) ([]byte, error) {
 	if n.Key == nil {
 		return nil, errors.New("service: partial seal needs a node signing key")
@@ -83,15 +89,24 @@ func (p *Pipeline) PartialSeal(n NodeSeal) ([]byte, error) {
 	if err := p.Seal(); err != nil && !errors.Is(err, ErrRoundClosed) {
 		return nil, err
 	}
-	rs := p.exportRound()
-	digests := make([]byte, len(rs.Digests)*wire.SealDigestLen)
-	for i := range rs.Digests {
-		copy(digests[i*wire.SealDigestLen:], rs.Digests[i][:])
+	sc := sealScratchPool.Get().(*sealScratch)
+	defer sealScratchPool.Put(sc)
+	rs, err := p.exportRoundInto(sc.list)
+	if err != nil {
+		return nil, fmt.Errorf("service: partial seal: %w", err)
 	}
+	sc.list = rs.Digests
+	digests := slices.Grow(sc.flat[:0], len(rs.Digests)*wire.SealDigestLen)
+	for i := range rs.Digests {
+		digests = append(digests, rs.Digests[i][:]...)
+	}
+	sc.flat = digests
 	der, err := n.Key.Public().Marshal()
 	if err != nil {
 		return nil, fmt.Errorf("service: partial seal: %w", err)
 	}
+	// SealPartial copies every field into the seal buffer, so the scratch
+	// can go back to the pool once it returns.
 	raw, err := wire.SealPartial(wire.PartialSeal{
 		Service:     p.cfg.ServiceName,
 		Round:       p.cfg.Round,
@@ -109,6 +124,16 @@ func (p *Pipeline) PartialSeal(n NodeSeal) ([]byte, error) {
 	}
 	return raw, nil
 }
+
+// sealScratch is PartialSeal's export scratch: the sorted digest list and
+// the flat block built from it. Both are copied into the signed seal
+// buffer, so they recycle across rounds instead of growing per export.
+type sealScratch struct {
+	list [][32]byte
+	flat []byte
+}
+
+var sealScratchPool = sync.Pool{New: func() any { return new(sealScratch) }}
 
 // ExportPartialSeal seals the given round and exports its partial seal.
 // An unknown round is an error — exporting an empty partial for a round
@@ -197,7 +222,7 @@ type Merge struct {
 	shardCount uint32 // partials needed; 0 until known (dynamic mode)
 	expect     map[uint32]bool
 	absorbed   map[uint32]bool
-	covered    []coverage // absorbed partials' non-empty digest blocks
+	covered    []coverage // absorbed partials' non-empty digest blocks; nil once complete
 	sum        fixed.Vector
 	count      uint64
 	rejected   uint64
@@ -253,11 +278,16 @@ func (m *Merge) Absorb(raw []byte) error {
 }
 
 // absorbSeal takes a seal fresh from DecodePartialSeal: the checks rely
-// on its canonical digest order and its received field block.
+// on its canonical digest order and its received field block, and its
+// digest block is a view of the caller's buffer. The block is copied only
+// while the merge stays incomplete. Once the merge completes it drops
+// every kept block, because every later seal is refused (ErrSealReplay or
+// ErrMergeComplete) before the overlap walk would read them.
 func (m *Merge) absorbSeal(seal wire.PartialSeal) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.checkSeal(seal); err != nil {
+	carried, err := m.checkSeal(seal)
+	if err != nil {
 		m.refused++
 		return err
 	}
@@ -268,59 +298,61 @@ func (m *Merge) absorbSeal(seal wire.PartialSeal) error {
 	if m.shardCount == 0 {
 		m.shardCount = seal.ShardCount
 	}
-	if key, err := xcrypto.ParseVerifyKey(seal.NodeKey); err == nil {
-		var meas tee.Measurement
-		copy(meas[:], seal.Measurement)
-		m.pins.pin(seal.NodeID, mergePin{key: key.Fingerprint(), measurement: meas})
-	}
+	var meas tee.Measurement
+	copy(meas[:], seal.Measurement)
+	m.pins.pin(seal.NodeID, mergePin{key: carried.Fingerprint(), measurement: meas})
 	fixed.AccumulateInto(m.sum, seal.Sum)
-	if len(seal.Digests) > 0 {
-		m.covered = append(m.covered, coverage{node: seal.NodeID, digests: seal.Digests})
-	}
 	m.absorbed[seal.NodeID] = true
 	m.count += seal.Count
 	m.rejected += seal.Rejected
+	switch {
+	case m.completeLocked():
+		m.covered = nil
+	case len(seal.Digests) > 0:
+		m.covered = append(m.covered, coverage{node: seal.NodeID, digests: bytes.Clone(seal.Digests)})
+	}
 	return nil
 }
 
-// checkSeal runs every refusal check without mutating anything. Caller
-// holds m.mu.
-func (m *Merge) checkSeal(seal wire.PartialSeal) error {
+// checkSeal runs every refusal check without mutating anything and
+// returns the node key the seal carries, parsed once for the commit's
+// pin. Caller holds m.mu.
+func (m *Merge) checkSeal(seal wire.PartialSeal) (*xcrypto.VerifyKey, error) {
 	if seal.Service != m.cfg.ServiceName || seal.Round != m.cfg.Round {
-		return fmt.Errorf("%w: seal is for %s/%d, merge is %s/%d",
+		return nil, fmt.Errorf("%w: seal is for %s/%d, merge is %s/%d",
 			ErrSealMismatch, seal.Service, seal.Round, m.cfg.ServiceName, m.cfg.Round)
 	}
 	if m.cfg.Dim > 0 && len(seal.Sum) != m.cfg.Dim {
-		return fmt.Errorf("%w: seal sum has %d lanes, merge wants %d",
+		return nil, fmt.Errorf("%w: seal sum has %d lanes, merge wants %d",
 			ErrSealMismatch, len(seal.Sum), m.cfg.Dim)
 	}
 	if m.sum != nil && len(seal.Sum) != len(m.sum) {
-		return fmt.Errorf("%w: seal sum has %d lanes, merge holds %d",
+		return nil, fmt.Errorf("%w: seal sum has %d lanes, merge holds %d",
 			ErrSealMismatch, len(seal.Sum), len(m.sum))
 	}
 	if seal.ShardCount == 0 {
-		return fmt.Errorf("%w: zero shard count", ErrSealMismatch)
+		return nil, fmt.Errorf("%w: zero shard count", ErrSealMismatch)
 	}
 	if m.shardCount != 0 && seal.ShardCount != m.shardCount {
 		// A stale seal from before a re-home names the old split; it must
 		// be re-exported, not merged.
-		return fmt.Errorf("%w: seal splits the round %d ways, merge expects %d",
+		return nil, fmt.Errorf("%w: seal splits the round %d ways, merge expects %d",
 			ErrSealMismatch, seal.ShardCount, m.shardCount)
 	}
 	if m.expect != nil && !m.expect[seal.NodeID] {
-		return fmt.Errorf("%w: node %d", ErrSealUnknownNode, seal.NodeID)
+		return nil, fmt.Errorf("%w: node %d", ErrSealUnknownNode, seal.NodeID)
 	}
 	if m.absorbed[seal.NodeID] {
-		return fmt.Errorf("%w: node %d already merged", ErrSealReplay, seal.NodeID)
+		return nil, fmt.Errorf("%w: node %d already merged", ErrSealReplay, seal.NodeID)
 	}
-	if m.shardCount != 0 && uint32(len(m.absorbed)) >= m.shardCount {
-		return ErrMergeComplete
+	if m.completeLocked() {
+		return nil, ErrMergeComplete
 	}
 
 	// Identity: registered key + measurement, or a TOFU pin.
 	carried, err := xcrypto.ParseVerifyKey(seal.NodeKey)
 	if err != nil {
-		return fmt.Errorf("%w: unparseable node key: %v", ErrSealIdentity, err)
+		return nil, fmt.Errorf("%w: unparseable node key: %v", ErrSealIdentity, err)
 	}
 	var meas tee.Measurement
 	copy(meas[:], seal.Measurement)
@@ -328,23 +360,23 @@ func (m *Merge) checkSeal(seal wire.PartialSeal) error {
 	if reg, ok := m.cfg.Nodes[seal.NodeID]; ok {
 		if reg.Verify != nil {
 			if carried.Fingerprint() != reg.Verify.Fingerprint() {
-				return fmt.Errorf("%w: node %d key does not match registration", ErrSealIdentity, seal.NodeID)
+				return nil, fmt.Errorf("%w: node %d key does not match registration", ErrSealIdentity, seal.NodeID)
 			}
 			verify = reg.Verify
 		}
 		if meas != reg.Measurement {
-			return fmt.Errorf("%w: node %d measurement does not match registration", ErrSealIdentity, seal.NodeID)
+			return nil, fmt.Errorf("%w: node %d measurement does not match registration", ErrSealIdentity, seal.NodeID)
 		}
 	} else if pin, ok := m.pins.get(seal.NodeID); ok {
 		if carried.Fingerprint() != pin.key || meas != pin.measurement {
-			return fmt.Errorf("%w: node %d contradicts its first-use pin", ErrSealIdentity, seal.NodeID)
+			return nil, fmt.Errorf("%w: node %d contradicts its first-use pin", ErrSealIdentity, seal.NodeID)
 		}
 	} else if !m.cfg.AllowTOFU {
-		return fmt.Errorf("%w: node %d has no registered identity", ErrSealIdentity, seal.NodeID)
+		return nil, fmt.Errorf("%w: node %d has no registered identity", ErrSealIdentity, seal.NodeID)
 	}
 
 	if !verify.VerifyHash(seal.SignedHash(), seal.Signature) {
-		return fmt.Errorf("%w: node %d", ErrSealSignature, seal.NodeID)
+		return nil, fmt.Errorf("%w: node %d", ErrSealSignature, seal.NodeID)
 	}
 
 	// Disjoint coverage: every digest must be new to the merge. Checked
@@ -359,10 +391,10 @@ func (m *Merge) checkSeal(seal wire.PartialSeal) error {
 		}
 	}
 	if first < len(seal.Digests) {
-		return fmt.Errorf("%w: node %d re-claims a contribution node %d covers",
+		return nil, fmt.Errorf("%w: node %d re-claims a contribution node %d covers",
 			ErrSealOverlap, seal.NodeID, owner)
 	}
-	return nil
+	return carried, nil
 }
 
 // firstShared merge-walks two strictly ascending digest blocks and
@@ -388,6 +420,10 @@ func firstShared(a, b []byte) int {
 func (m *Merge) Complete() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.completeLocked()
+}
+
+func (m *Merge) completeLocked() bool {
 	return m.shardCount != 0 && uint32(len(m.absorbed)) >= m.shardCount
 }
 

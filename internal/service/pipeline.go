@@ -33,6 +33,10 @@ var (
 	// ErrRoundClosed is returned once Close has been called; after close the
 	// aggregate is immutable (no further ingest or dropout correction).
 	ErrRoundClosed = errors.New("service: round is closed")
+	// ErrRoundReleased is returned by partial-seal export once the round
+	// has left its manager (Forget or eviction) and its dedup set has been
+	// recycled: the digest coverage is gone, so no seal can prove it.
+	ErrRoundReleased = errors.New("service: round is released")
 )
 
 // Round lifecycle states: open (ingesting) → sealed (cohort fixed, dropout
@@ -77,8 +81,11 @@ type PipelineConfig struct {
 	// ExpectedCohort, when positive, pre-sizes each shard's dedup set for
 	// that many total contributions, so steady-state ingest below the
 	// expectation never rehashes (and therefore never allocates) on the
-	// dedup insert. Ingest beyond the expectation still works; the maps
-	// grow as usual.
+	// dedup insert. A round may start on a set recycled from a released
+	// round (see dedupSet) only when that set is known to hold at least
+	// this shard's share without growing; otherwise it gets a fresh one of
+	// that size. Ingest beyond the expectation still works; the sets grow
+	// as usual.
 	ExpectedCohort int
 	// Journal, when non-nil, receives every durable mutation (see the
 	// Journal interface in state.go for the barrier contract). Registry
@@ -93,9 +100,47 @@ type PipelineConfig struct {
 // two workers rarely contend on the same lock.
 type pipeShard struct {
 	mu    sync.Mutex
-	seen  map[[32]byte]bool
+	seen  *dedupSet // nil once the round is released
 	sum   fixed.Vector
 	count int
+}
+
+// dedupSet is one shard's set of accepted digests. A round that leaves its
+// manager hands its sets back to dedupPool, cleared, and the next round
+// starts on them instead of growing fresh maps from empty: a cleared Go map
+// keeps its buckets, so a steady stream of similar rounds stops paying for
+// map growth. high is the largest length the set has held (or was made
+// for), so a round that needs a presized set can tell whether a pooled one
+// would grow under it.
+//
+// The pool cannot be abused to hold memory: a set's size was set by
+// contributions an earlier round really accepted (or by the configured
+// ExpectedCohort), nothing is presized from an earlier round's count, and
+// sync.Pool drops idle sets after two GC cycles. A client spraying fresh
+// rounds can reuse memory that was already released, never make each new
+// round allocate more.
+type dedupSet struct {
+	m    map[[32]byte]bool
+	high int
+}
+
+var dedupPool sync.Pool
+
+// newDedupSet returns a set that holds hint digests without growing: a
+// recycled one when the pool offers one big enough, a fresh one otherwise
+// (a pooled set too small for hint is left to the collector).
+func newDedupSet(hint int) *dedupSet {
+	if s, ok := dedupPool.Get().(*dedupSet); ok && s.high >= hint {
+		return s
+	}
+	return &dedupSet{m: make(map[[32]byte]bool, hint), high: hint}
+}
+
+// recycle clears the set and returns it to the pool.
+func (s *dedupSet) recycle() {
+	s.high = max(s.high, len(s.m))
+	clear(s.m)
+	dedupPool.Put(s)
 }
 
 // Pipeline is the concurrent ingest path for one aggregation round: decode
@@ -183,7 +228,7 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 	}
 	for i := range p.shards {
 		p.shards[i] = &pipeShard{
-			seen: make(map[[32]byte]bool, perShard),
+			seen: newDedupSet(perShard),
 			sum:  fixed.NewVector(cfg.Dim),
 		}
 	}
@@ -438,11 +483,11 @@ func (p *Pipeline) process(raw []byte) error {
 	}
 	sh := p.shards[binary.BigEndian.Uint64(digest[:8])&p.shardMask]
 	sh.mu.Lock()
-	if sh.seen[digest] {
+	if sh.seen.m[digest] {
 		sh.mu.Unlock()
 		return p.reject(ErrDuplicate)
 	}
-	sh.seen[digest] = true
+	sh.seen.m[digest] = true
 	sh.sum.AddInPlace(blinded)
 	sh.count++
 	sh.mu.Unlock()
@@ -519,6 +564,26 @@ func (p *Pipeline) Close() {
 	}
 	if j := p.journal; j != nil {
 		j.RoundClosed(p.cfg.ServiceName, p.cfg.Round)
+	}
+}
+
+// retire closes a round that has left its manager and recycles its dedup
+// sets. Close drains every in-flight batch and refuses all later intake,
+// so once it returns nothing inserts into a set again. Each set is
+// detached under its shard lock: an export holding that lock reads it
+// whole before it is recycled, and one taking the lock later finds nil and
+// fails (ErrRoundReleased) instead of reading a set another round now
+// owns. Sum, Mean, Count and Rejected stay available.
+func (p *Pipeline) retire() {
+	p.Close()
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+		set := sh.seen
+		sh.seen = nil
+		sh.mu.Unlock()
+		if set != nil {
+			set.recycle()
+		}
 	}
 }
 

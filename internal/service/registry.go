@@ -96,7 +96,7 @@ func (b *Budget) occupancyLocked() int {
 
 // reserve claims one admission slot for m, evicting cross-tenant when the
 // budget is full. The returned victims (already deregistered from their
-// managers and debited here) must be Closed by the caller outside every
+// managers and debited here) must be retired by the caller outside every
 // lock; they are returned even alongside ErrBudgetExhausted.
 func (b *Budget) reserve(m *RoundManager) ([]*Pipeline, error) {
 	b.mu.Lock()

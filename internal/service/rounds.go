@@ -227,9 +227,10 @@ func (m *RoundManager) isVetted(meas tee.Measurement) bool {
 
 // ingestRound creates a verified contribution's round, refusing past the
 // MaxRounds cap (and, when a shared budget is attached, past the global
-// cap). Evicted pipelines are closed only after the manager lock is
-// released: Close drains the victim's in-flight batches, and holding m.mu
-// through that drain would stall ingest for every other round.
+// cap). Evicted pipelines are retired (closed, dedup sets recycled) only
+// after the manager lock is released: Close drains the victim's in-flight
+// batches, and holding m.mu through that drain would stall ingest for
+// every other round.
 func (m *RoundManager) ingestRound(round uint64) (*Pipeline, error) {
 	// Cheap refusals come before the budget round-trip: a round that
 	// already exists needs no slot, and an out-of-window round must be
@@ -245,7 +246,7 @@ func (m *RoundManager) ingestRound(round uint64) (*Pipeline, error) {
 	if m.budget != nil {
 		victims, err := m.budget.reserve(m)
 		for _, v := range victims {
-			v.Close()
+			v.retire()
 		}
 		if err != nil {
 			return nil, err
@@ -259,7 +260,7 @@ func (m *RoundManager) ingestRound(round uint64) (*Pipeline, error) {
 		}
 	}
 	for _, v := range victims {
-		v.Close()
+		v.retire()
 	}
 	return p, err
 }
@@ -332,7 +333,7 @@ func (m *RoundManager) admitRound(round uint64) (p *Pipeline, victims []*Pipelin
 // ErrRoundSealed/ErrRoundClosed, never a fresh dedup set) holds. Among
 // open rounds the least-filled loses; on a count tie the highest round
 // number loses, so a client spraying ascending fresh rounds evicts its own
-// spray before a round that opened earlier. The caller must Close the
+// spray before a round that opened earlier. The caller must retire the
 // victim outside m.mu.
 func (m *RoundManager) evictLeastFilledLocked() (*Pipeline, bool) {
 	var victim uint64
@@ -352,9 +353,10 @@ func (m *RoundManager) evictLeastFilledLocked() (*Pipeline, bool) {
 	p := m.rounds[victim]
 	delete(m.rounds, victim)
 	if j := m.journal; j != nil {
-		// The victim's own journal stays attached, so its Close (run by
-		// the caller outside m.mu) still appends a RoundClosed record —
-		// replay drops it, since this record already removed the round.
+		// The victim's own journal stays attached, so its Close (in retire,
+		// run by the caller outside m.mu) still appends a RoundClosed
+		// record — replay drops it, since this record already removed the
+		// round.
 		j.RoundForgotten(m.cfg.ServiceName, victim)
 	}
 	return p, true
@@ -363,7 +365,7 @@ func (m *RoundManager) evictLeastFilledLocked() (*Pipeline, bool) {
 // dropLeastFilled is the shared budget's cross-tenant eviction hook: it
 // removes and returns this manager's least-filled open round, or reports
 // that nothing here is evictable. The budget adjusts its own accounting;
-// the caller Closes the victim outside every lock.
+// the caller retires the victim outside every lock.
 func (m *RoundManager) dropLeastFilled() (*Pipeline, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -397,9 +399,11 @@ func (m *RoundManager) Close(round uint64) *Pipeline {
 }
 
 // Forget drops a round's pipeline entirely, closing it first (so any
-// worker pool is torn down) and releasing its memory. A fresh verified
-// contribution for a forgotten round would start a new pipeline, so only
-// forget rounds the transport no longer routes.
+// worker pool is torn down) and recycling its dedup sets for later rounds.
+// A held *Pipeline keeps its aggregate (Sum, Mean, Count) but can no
+// longer export a partial seal. A fresh verified contribution for a
+// forgotten round would start a new pipeline, so only forget rounds the
+// transport no longer routes.
 func (m *RoundManager) Forget(round uint64) {
 	m.mu.Lock()
 	p, ok := m.rounds[round]
@@ -412,6 +416,6 @@ func (m *RoundManager) Forget(round uint64) {
 		if m.budget != nil {
 			m.budget.noteRemoved(m, 1)
 		}
-		p.Close()
+		p.retire()
 	}
 }

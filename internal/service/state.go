@@ -197,8 +197,12 @@ func (t *Tenant) exportState() TenantState {
 		Rejected:     uint64(m.rejected.Load()),
 	}
 	for _, round := range m.Rounds() { // ascending
+		// A round forgotten or evicted since Rounds listed it has no
+		// digests left to export, and is no longer registry state.
 		if p, ok := m.Lookup(round); ok {
-			ts.Rounds = append(ts.Rounds, p.exportRound())
+			if rs, err := p.exportRoundInto(nil); err == nil {
+				ts.Rounds = append(ts.Rounds, rs)
+			}
 		}
 	}
 	if m.cfg.Tickets != nil {
@@ -207,7 +211,13 @@ func (t *Tenant) exportState() TenantState {
 	return ts
 }
 
-func (p *Pipeline) exportRound() RoundState {
+// exportRoundInto snapshots the round with its digests sorted. The
+// digests are appended to dst[:0], so a caller that recycles the list
+// (PartialSeal) allocates none; nil gets a list sized to the round. It
+// fails with ErrRoundReleased once retire has recycled the dedup sets:
+// each set is read only under its shard lock while still attached, so the
+// export never reads a set another round owns.
+func (p *Pipeline) exportRoundInto(dst [][32]byte) (RoundState, error) {
 	p.stateMu.RLock()
 	phase := uint8(p.state)
 	p.stateMu.RUnlock()
@@ -222,19 +232,26 @@ func (p *Pipeline) exportRound() RoundState {
 	n := 0
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		n += len(sh.seen)
-		sh.mu.Unlock()
-	}
-	rs.Digests = make([][32]byte, 0, n)
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		for d := range sh.seen {
-			rs.Digests = append(rs.Digests, d)
+		if sh.seen != nil {
+			n += len(sh.seen.m)
 		}
 		sh.mu.Unlock()
 	}
-	sortDigests(rs.Digests)
-	return rs
+	digests := slices.Grow(dst[:0], n)
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+		if sh.seen == nil {
+			sh.mu.Unlock()
+			return RoundState{}, ErrRoundReleased
+		}
+		for d := range sh.seen.m {
+			digests = append(digests, d)
+		}
+		sh.mu.Unlock()
+	}
+	sortDigests(digests)
+	rs.Digests = digests
+	return rs, nil
 }
 
 // sortDigests sorts lexicographically. Digests are uniform hashes, so the
@@ -325,8 +342,10 @@ func (p *Pipeline) restoreAccepted(digests [][32]byte, delta fixed.Vector) {
 	for _, d := range digests {
 		sh := p.shards[binary.BigEndian.Uint64(d[:8])&p.shardMask]
 		sh.mu.Lock()
-		if !sh.seen[d] {
-			sh.seen[d] = true
+		// A retired round's sets are gone; nothing reaches it through the
+		// registry any more, so there is nothing to restore.
+		if sh.seen != nil && !sh.seen.m[d] {
+			sh.seen.m[d] = true
 			sh.count++
 		}
 		sh.mu.Unlock()

@@ -93,7 +93,8 @@ type ticketEntry struct {
 }
 
 // TicketTable holds one tenant's live session tickets. All methods are
-// safe for concurrent use; check is the only one on the hot path.
+// safe for concurrent use; check and resolve are the only ones on the hot
+// path.
 type TicketTable struct {
 	cfg TicketConfig
 
@@ -296,16 +297,37 @@ func (h expiryHeap) down(i int) {
 	}
 }
 
-// check is the ingest hot path: resolve the ticket and enforce expiry and
-// the round window, returning the session key by value. Zero allocations.
+// check is the single-contribution path (round admission): resolve the
+// ticket and enforce expiry and the round window, returning the session
+// key by value. Zero allocations.
 func (t *TicketTable) check(id, round uint64) (xcrypto.SessionKey, error) {
 	t.mu.RLock()
 	e, ok := t.entries[id]
 	t.mu.RUnlock()
+	return e.admit(ok, t.now(), round)
+}
+
+// resolve is check for every distinct ticket of one batch (the batch
+// plan's phase 2): one read lock and one clock read for the whole frame,
+// each group's key and error exactly what check would return.
+func (t *TicketTable) resolve(groups []ticketGroup, round uint64) {
+	now := t.now()
+	t.mu.RLock()
+	for i := range groups {
+		g := &groups[i]
+		e, ok := t.entries[g.id]
+		g.key, g.err = e.admit(ok, now, round)
+	}
+	t.mu.RUnlock()
+}
+
+// admit applies the table's rules to a looked-up entry (ok false when the
+// table holds none) at clock reading now.
+func (e ticketEntry) admit(ok bool, now int64, round uint64) (xcrypto.SessionKey, error) {
 	if !ok {
 		return xcrypto.SessionKey{}, ErrUnknownTicket
 	}
-	if t.now() > e.expiresUnix {
+	if now > e.expiresUnix {
 		return xcrypto.SessionKey{}, ErrTicketExpired
 	}
 	if round < e.roundFirst || round > e.roundLast {

@@ -74,6 +74,7 @@ type PartialSeal struct {
 	// Digests is the partial's dedup coverage: Count digests of
 	// SealDigestLen bytes each, concatenated in strictly ascending
 	// lexicographic order (the canonical form — sorted, no duplicates).
+	// On a decoded seal it is a view of the decoder's input.
 	Digests []byte
 	// Signature is the node's ECDSA signature over SignedBytes.
 	Signature []byte
@@ -171,8 +172,11 @@ func SealPartial(s PartialSeal, sign func(preimage []byte) ([]byte, error)) ([]b
 // DecodePartialSeal reverses EncodePartialSeal, enforcing the structural
 // invariants — fixed measurement length, digest-count/Count agreement,
 // and canonical (strictly ascending, duplicate-free) digest order — so a
-// malformed seal is refused before any crypto runs. Every field is a
-// copy; the seal keeps a view of data's field block for SignedHash only.
+// malformed seal is refused before any crypto runs. Digests is a view of
+// data, not a copy: the digest block is a seal's bulk, and a merge copies
+// it only if it keeps it. A caller that retains Digests past data's
+// lifetime, or reuses data, must copy the block. Every other field is a
+// copy; the seal also keeps a view of data's field block for SignedHash.
 func DecodePartialSeal(data []byte) (PartialSeal, error) {
 	r := NewReader(data)
 	s := PartialSeal{
@@ -185,7 +189,7 @@ func DecodePartialSeal(data []byte) (PartialSeal, error) {
 		Count:       r.Uint64(),
 		Rejected:    r.Uint64(),
 		Sum:         r.Uint64s(),
-		Digests:     r.Bytes(),
+		Digests:     r.BytesView(),
 	}
 	fieldsEnd := len(data) - r.Remaining()
 	s.Signature = r.Bytes()
